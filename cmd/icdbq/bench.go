@@ -170,12 +170,12 @@ func runBench(args []string) error {
 		}
 		// Warm the lazily built inverted indexes so measurements see
 		// steady state.
-		if _, err := db.QueryByFunction(genus.FuncADD); err != nil {
+		if _, err := db.Query(icdb.Spec{Functions: []genus.Function{genus.FuncADD}}); err != nil {
 			return err
 		}
 		// Cross-validate the two result paths before timing them: the
 		// streamed query must yield exactly the materialized set.
-		mat, err := db.QueryByFunction(genus.FuncADD, icdb.MaxArea(50))
+		mat, err := db.Query(icdb.Spec{Functions: []genus.Function{genus.FuncADD}, Where: []icdb.Constraint{icdb.MaxArea(50)}})
 		if err != nil {
 			return err
 		}
@@ -196,7 +196,7 @@ func runBench(args []string) error {
 		qIdx := measure("query_by_function", n, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.QueryByFunction(genus.FuncADD, icdb.MaxArea(50)); err != nil {
+				if _, err := db.Query(icdb.Spec{Functions: []genus.Function{genus.FuncADD}, Where: []icdb.Constraint{icdb.MaxArea(50)}}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -213,10 +213,10 @@ func runBench(args []string) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rows := 0
-				err := db.QueryByFunctionScan(genus.FuncADD, func(c icdb.Candidate) bool {
+				err := db.Scan(icdb.Spec{Functions: []genus.Function{genus.FuncADD}, Where: []icdb.Constraint{icdb.MaxArea(50)}}, func(c icdb.Candidate) bool {
 					rows++
 					return true
-				}, icdb.MaxArea(50))
+				})
 				if err != nil || rows == 0 {
 					b.Fatal(err, rows)
 				}
@@ -242,7 +242,7 @@ func runBench(args []string) error {
 			b.ReportAllocs()
 			fns := []genus.Function{genus.FuncADD, genus.FuncSUB}
 			for i := 0; i < b.N; i++ {
-				if _, err := db.QueryByFunctionsTopK(fns, 5, icdb.ForWidth(8)); err != nil {
+				if _, err := db.Query(icdb.Spec{Functions: fns, Where: []icdb.Constraint{icdb.ForWidth(8)}, Limit: 5}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -280,11 +280,11 @@ func runBench(args []string) error {
 			return err
 		}
 		ordFns := []genus.Function{genus.FuncADD}
-		ordScalar, err := db.QueryByFunctionsOrdered(ordFns, icdb.Order{Attr: "area"}, 10, icdb.ForWidth(16))
+		ordScalar, err := db.Query(icdb.Spec{Functions: ordFns, Where: []icdb.Constraint{icdb.ForWidth(16)}, Order: icdb.Order{Attr: "area"}, Limit: 10})
 		if err != nil {
 			return err
 		}
-		ordWidth, err := db.QueryByFunctionsOrdered(ordFns, icdb.Order{Attr: "area"}, 10, icdb.AtWidth(16))
+		ordWidth, err := db.Query(icdb.Spec{Functions: ordFns, Where: []icdb.Constraint{icdb.AtWidth(16)}, Order: icdb.Order{Attr: "area"}, Limit: 10})
 		if err != nil {
 			return err
 		}
@@ -300,7 +300,7 @@ func runBench(args []string) error {
 		ordScalarM := measure("query_ordered_scalar", n, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.QueryByFunctionsOrdered(ordFns, icdb.Order{Attr: "area"}, 10, icdb.ForWidth(16)); err != nil {
+				if _, err := db.Query(icdb.Spec{Functions: ordFns, Where: []icdb.Constraint{icdb.ForWidth(16)}, Order: icdb.Order{Attr: "area"}, Limit: 10}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -308,7 +308,7 @@ func runBench(args []string) error {
 		ordWidthM := measure("query_ordered_at_width", n, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.QueryByFunctionsOrdered(ordFns, icdb.Order{Attr: "area"}, 10, icdb.AtWidth(16)); err != nil {
+				if _, err := db.Query(icdb.Spec{Functions: ordFns, Where: []icdb.Constraint{icdb.AtWidth(16)}, Order: icdb.Order{Attr: "area"}, Limit: 10}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -362,7 +362,7 @@ func runBench(args []string) error {
 		report.Comparisons = append(report.Comparisons,
 			compare("query_by_function", n, "full scan (pre-index path)", qIdx, qScan),
 			compare("impl_by_name", n, "full scan (pre-index path)", lIdx, lScan),
-			compare("query_by_function_stream", n, "materialized QueryByFunction", qStream, qIdx),
+			compare("query_by_function_stream", n, "materialized Query", qStream, qIdx),
 			compare("query_ordered_at_width", n, "scalar ordered query (same coverage filter)", ordWidthM, ordScalarM),
 			compare("persistence_round_trip", n, "JSON Save+Load", benchMeasure{
 				NsPerOp:     saveSnap.NsPerOp + loadSnap.NsPerOp,

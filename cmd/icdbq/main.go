@@ -95,7 +95,7 @@ func run(args []string) error {
 }
 
 func runQuery(db *icdb.DB, args []string) error {
-	var fns []genus.Function
+	fns := []genus.Function{} // non-nil: no functions is an error, not a catalog walk
 	var cs []icdb.Constraint
 	for i := 0; i < len(args); i++ {
 		if args[i] == "-where" {
@@ -112,7 +112,7 @@ func runQuery(db *icdb.DB, args []string) error {
 		}
 		fns = append(fns, genus.Function(args[i]))
 	}
-	cands, err := db.QueryByFunctions(fns, cs...)
+	cands, err := db.Query(icdb.Spec{Functions: fns, Where: cs})
 	if err != nil {
 		return err
 	}

@@ -163,17 +163,17 @@ func FullScanImplRow(db *icdb.DB, name string) (relstore.Row, error) {
 }
 
 // StreamedQueryByFunction materializes the streaming query path into the
-// ranked shape QueryByFunction returns, so tests and the bench harness
+// ranked shape Query returns, so tests and the bench harness
 // can cross-validate the two result paths candidate for candidate. (Real
 // streaming consumers fold or filter in the visitor instead; collecting
 // defeats the point outside of validation.)
 func StreamedQueryByFunction(db *icdb.DB, fn genus.Function, cs ...icdb.Constraint) ([]icdb.Candidate, error) {
 	var out []icdb.Candidate
-	err := db.QueryByFunctionScan(fn, func(c icdb.Candidate) bool {
+	err := db.Scan(icdb.Spec{Functions: []genus.Function{fn}, Where: cs}, func(c icdb.Candidate) bool {
 		c.Impl = c.Impl.Clone() // the streamed Impl must not be retained as-is
 		out = append(out, c)
 		return true
-	}, cs...)
+	})
 	if err != nil {
 		return nil, err
 	}

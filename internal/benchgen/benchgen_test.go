@@ -28,7 +28,7 @@ func TestIndexedQueryMatchesFullScanReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := db.QueryByFunction(fn, cs...)
+			got, err := db.Query(icdb.Spec{Functions: []genus.Function{fn}, Where: cs})
 			if err != nil {
 				t.Fatal(err)
 			}

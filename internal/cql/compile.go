@@ -10,17 +10,12 @@ import (
 
 // FindQuery is a compiled FindStmt, bound to a database and ready to
 // run. Compilation resolves the statement's vocabulary (functions,
-// component type, order key) and lowers its "with" clause onto engine
-// constraints; Run picks the engine path.
+// component type, order key) and lowers it onto one engine query spec;
+// Run picks Query or Scan.
 type FindQuery struct {
-	db      *icdb.DB
-	fns     []genus.Function
-	comp    genus.ComponentType
-	hasComp bool
-	cs      []icdb.Constraint
-	order   icdb.Order
-	ranked  bool
-	limit   int
+	db     *icdb.DB
+	spec   icdb.Spec
+	ranked bool
 }
 
 // CompileFind lowers a parsed find command onto db's query engine.
@@ -35,7 +30,7 @@ func CompileFind(db *icdb.DB, f *FindStmt) (*FindQuery, error) {
 				Msg:  "unknown component type '" + f.Type.Text + "'",
 				Hint: suggest(f.Type.Text, componentTypeNames())}
 		}
-		q.comp, q.hasComp = ct, true
+		q.spec.Type = ct
 	}
 	for _, w := range f.Executing {
 		fn, err := genus.NormalizeFunction(w.Text)
@@ -44,27 +39,27 @@ func CompileFind(db *icdb.DB, f *FindStmt) (*FindQuery, error) {
 				Msg:  "unknown function '" + w.Text + "'",
 				Hint: suggest(w.Text, functionNames())}
 		}
-		q.fns = append(q.fns, fn)
+		q.spec.Functions = append(q.spec.Functions, fn)
 	}
 	for i := range f.Where {
 		c, err := compileCond(&f.Where[i])
 		if err != nil {
 			return nil, err
 		}
-		q.cs = append(q.cs, c)
+		q.spec.Where = append(q.spec.Where, c)
 	}
 	if f.At != nil {
 		// The evaluation point both restricts candidates to the width and
 		// makes every area/delay the engine filters, ranks, or reports the
 		// estimator value at it.
-		q.cs = append(q.cs, icdb.AtWidth(f.At.Width))
+		q.spec.Where = append(q.spec.Where, icdb.AtWidth(f.At.Width))
 	}
 	if f.OrderBy != nil {
-		q.order = icdb.Order{Attr: f.OrderBy.Key.Text, Desc: f.OrderBy.Desc}
+		q.spec.Order = icdb.Order{Attr: f.OrderBy.Key.Text, Desc: f.OrderBy.Desc}
 		q.ranked = true
 	}
 	if f.HasLimit {
-		q.limit = f.Limit
+		q.spec.Limit = f.Limit
 		q.ranked = true
 	}
 	return q, nil
@@ -113,84 +108,29 @@ func compileCond(c *Cond) (icdb.Constraint, error) {
 	return con, nil
 }
 
-// Ranked reports whether the query runs on the materializing ranked
-// path (an order-by or limit clause is present) rather than streaming
-// candidates in unspecified order.
-func (q *FindQuery) Ranked() bool { return q.ranked }
-
 // Run executes the query, yielding each candidate to visit; visit
 // returning false stops the delivery.
 //
-// Without an order-by or limit clause the query streams through the
-// engine's Scan visitors: candidates arrive in unspecified order, the
-// yielded Impl shares the cache's backing (read-only; Clone to retain),
-// and visit must not call back into the DB. With an order-by or limit
-// clause the engine ranks first — bounded by the TopK heap — and visit
-// receives caller-owned candidates, best first.
+// Without an order-by or limit clause the query streams through
+// icdb.DB.Scan: candidates arrive in unspecified order, the yielded Impl
+// shares the cache's backing (read-only; Clone to retain), and visit
+// must not call back into the DB. With an order-by or limit clause it
+// runs icdb.DB.Query — bounded by the TopK heap — and visit receives
+// caller-owned candidates, best first.
 func (q *FindQuery) Run(visit func(icdb.Candidate) bool) error {
-	if q.ranked {
-		cands, err := q.rankedCandidates()
-		if err != nil {
-			return err
-		}
-		for _, c := range cands {
-			if !visit(c) {
-				return nil
-			}
-		}
-		return nil
+	if !q.ranked {
+		return q.db.Scan(q.spec, visit)
 	}
-	// Streaming path. When both a component type and functions are
-	// given, stream by function and filter the component inline.
-	filtered := func(c icdb.Candidate) bool {
-		if q.hasComp && c.Impl.Component != q.comp {
-			return true
-		}
-		return visit(c)
-	}
-	switch {
-	case len(q.fns) > 0:
-		return q.db.QueryByFunctionsScan(q.fns, filtered, q.cs...)
-	case q.hasComp:
-		return q.db.QueryByComponentScan(q.comp, visit, q.cs...)
-	default:
-		return q.db.QueryScan(visit, q.cs...)
-	}
-}
-
-// rankedCandidates materializes the ordered answer on the narrowest
-// engine path for the query's selectors; every case bounds the TopK
-// heap with the limit, so clones stay O(k).
-func (q *FindQuery) rankedCandidates() ([]icdb.Candidate, error) {
-	switch {
-	case len(q.fns) > 0 && q.hasComp:
-		return q.db.QueryByFunctionsOfTypeOrdered(q.fns, q.comp, q.order, q.limit, q.cs...)
-	case len(q.fns) > 0:
-		return q.db.QueryByFunctionsOrdered(q.fns, q.order, q.limit, q.cs...)
-	case q.hasComp:
-		return q.db.QueryByComponentOrdered(q.comp, q.order, q.limit, q.cs...)
-	default:
-		return q.db.QueryOrdered(q.order, q.limit, q.cs...)
-	}
-}
-
-// Candidates materializes the query's full answer with caller-owned
-// implementations: ranked queries in rank order, streaming queries in
-// unspecified order.
-func (q *FindQuery) Candidates() ([]icdb.Candidate, error) {
-	if q.ranked {
-		return q.rankedCandidates()
-	}
-	var out []icdb.Candidate
-	err := q.Run(func(c icdb.Candidate) bool {
-		c.Impl = c.Impl.Clone()
-		out = append(out, c)
-		return true
-	})
+	cands, err := q.db.Query(q.spec)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return out, nil
+	for _, c := range cands {
+		if !visit(c) {
+			return nil
+		}
+	}
+	return nil
 }
 
 // functionNames returns the GENUS function vocabulary as strings, for

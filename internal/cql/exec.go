@@ -141,7 +141,7 @@ func (env *Env) execFind(f *FindStmt) error {
 		if env.wDelay != nil {
 			wd = *env.wDelay
 		}
-		q.cs = append(q.cs, icdb.Weights(wa, wd))
+		q.spec.Where = append(q.spec.Where, icdb.Weights(wa, wd))
 	}
 	n := 0
 	var werr error

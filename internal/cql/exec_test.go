@@ -31,8 +31,12 @@ func run(t *testing.T, db *icdb.DB, src string) []icdb.Candidate {
 	if err != nil {
 		t.Fatalf("CompileFind(%q): %v", src, err)
 	}
-	cands, err := q.Candidates()
-	if err != nil {
+	var cands []icdb.Candidate
+	if err := q.Run(func(c icdb.Candidate) bool {
+		c.Impl = c.Impl.Clone() // a streamed Impl must not be retained as-is
+		cands = append(cands, c)
+		return true
+	}); err != nil {
 		t.Fatalf("Run(%q): %v", src, err)
 	}
 	return cands
@@ -48,7 +52,7 @@ func names(cands []icdb.Candidate) []string {
 
 // TestFindEquivalentToTopK is the acceptance criterion: the CQL command
 // of ISSUE 4 returns the same candidates, in the same order, as the
-// equivalent QueryByFunctionTopK / QueryByFunctionsOrdered Go calls.
+// equivalent db.Query specs.
 func TestFindEquivalentToTopK(t *testing.T) {
 	db := openTestDB(t)
 	areaLE10, err := icdb.AttrCmp("area", icdb.CmpLE, 10)
@@ -57,19 +61,18 @@ func TestFindEquivalentToTopK(t *testing.T) {
 	}
 
 	// Cost-ranked: "limit 5" with no order-by is the engine's default
-	// ranking, i.e. exactly QueryByFunctionTopK.
+	// ranking, i.e. exactly a cost-ranked Query with Limit 5.
 	got := run(t, db, "find component executing STORAGE with area <= 10 limit 5")
-	want, err := db.QueryByFunctionTopK(genus.FuncSTORAGE, 5, icdb.MustWhere("area <= 10"))
+	want, err := db.Query(icdb.Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Where: []icdb.Constraint{icdb.MustWhere("area <= 10")}, Limit: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameCandidates(t, "cost-ranked", got, want)
 
-	// Attribute-ranked: "order by delay" is QueryByFunctionsOrdered with
-	// the delay key.
+	// Attribute-ranked: "order by delay" is a Query with the delay Order
+	// key.
 	got = run(t, db, "find component executing STORAGE with area <= 10 order by delay limit 5")
-	want, err = db.QueryByFunctionsOrdered(
-		[]genus.Function{genus.FuncSTORAGE}, icdb.Order{Attr: "delay"}, 5, areaLE10)
+	want, err = db.Query(icdb.Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Where: []icdb.Constraint{areaLE10}, Order: icdb.Order{Attr: "delay"}, Limit: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +355,7 @@ func TestFindAtWidthRanksByEstimatedArea(t *testing.T) {
 	if got[0].Area != 96 || got[1].Area != 192 {
 		t.Errorf("estimated areas = %g, %g, want 96, 192", got[0].Area, got[1].Area)
 	}
-	want, err := db.QueryByFunctionsOrdered(
-		[]genus.Function{genus.FuncSTORAGE}, icdb.Order{Attr: "area"}, 0, icdb.AtWidth(16))
+	want, err := db.Query(icdb.Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Where: []icdb.Constraint{icdb.AtWidth(16)}, Order: icdb.Order{Attr: "area"}})
 	if err != nil {
 		t.Fatal(err)
 	}

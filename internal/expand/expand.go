@@ -694,10 +694,10 @@ func (x *expansion) resolveProtoUncached(c *iif.Call) (*proto, error) {
 func (x *expansion) scanByTypeOrFunction(c *iif.Call, visit func(icdb.Candidate) bool, cs ...icdb.Constraint) error {
 	db := x.ex.db
 	if ct, ok := genus.NormalizeComponentType(c.Name); ok {
-		return db.QueryByComponentScan(ct, visit, cs...)
+		return db.Scan(icdb.Spec{Type: ct, Where: cs}, visit)
 	}
 	if fn, err := genus.NormalizeFunction(c.Name); err == nil {
-		return db.QueryByFunctionScan(fn, visit, cs...)
+		return db.Scan(icdb.Spec{Functions: []genus.Function{fn}, Where: cs}, visit)
 	}
 	return nil
 }

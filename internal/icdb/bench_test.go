@@ -56,7 +56,7 @@ func BenchmarkQueryByFunction(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cands, err := db.QueryByFunction(genus.FuncADD, icdb.MaxArea(50))
+			cands, err := db.Query(icdb.Spec{Functions: []genus.Function{genus.FuncADD}, Where: []icdb.Constraint{icdb.MaxArea(50)}})
 			if err != nil || len(cands) == 0 {
 				b.Fatal(err, len(cands))
 			}
@@ -88,10 +88,10 @@ func BenchmarkQueryByFunctionScan(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rows := 0
-			err := db.QueryByFunctionScan(genus.FuncADD, func(c icdb.Candidate) bool {
+			err := db.Scan(icdb.Spec{Functions: []genus.Function{genus.FuncADD}, Where: []icdb.Constraint{icdb.MaxArea(50)}}, func(c icdb.Candidate) bool {
 				rows++
 				return true
-			}, icdb.MaxArea(50))
+			})
 			if err != nil || rows == 0 {
 				b.Fatal(err, rows)
 			}
@@ -106,7 +106,7 @@ func BenchmarkQueryByFunctionsTopK(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cands, err := db.QueryByFunctionsTopK(fns, 5, icdb.ForWidth(8))
+			cands, err := db.Query(icdb.Spec{Functions: fns, Where: []icdb.Constraint{icdb.ForWidth(8)}, Limit: 5})
 			if err != nil || len(cands) == 0 {
 				b.Fatal(err, len(cands))
 			}

@@ -30,7 +30,7 @@ func testImpl(name string) Impl {
 }
 
 // TestQueryScanVisitorReentersDB pins the re-entrancy contract: a
-// QueryScan visitor may call back into the DB — including registering
+// Scan visitor may call back into the DB — including registering
 // an implementation, which would self-deadlock if the stream held the
 // index lock.
 func TestQueryScanVisitorReentersDB(t *testing.T) {
@@ -38,7 +38,7 @@ func TestQueryScanVisitorReentersDB(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		first := true
-		done <- db.QueryScan(func(c Candidate) bool {
+		done <- db.Scan(Spec{}, func(c Candidate) bool {
 			if first {
 				first = false
 				// Re-enter with a read and a write.
@@ -55,10 +55,10 @@ func TestQueryScanVisitorReentersDB(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("QueryScan: %v", err)
+			t.Fatalf("Scan: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("QueryScan with re-entrant visitor deadlocked")
+		t.Fatal("Scan with re-entrant visitor deadlocked")
 	}
 	if _, err := db.ImplByName("reent_reg"); err != nil {
 		t.Fatalf("impl registered mid-scan is missing: %v", err)
@@ -81,7 +81,7 @@ func TestRegisterProgressDuringSlowScan(t *testing.T) {
 	var once sync.Once
 	seen := 0
 	go func() {
-		scanDone <- db.QueryScan(func(c Candidate) bool {
+		scanDone <- db.Scan(Spec{}, func(c Candidate) bool {
 			if c.Impl.Name == "mid_scan_reg" {
 				t.Errorf("scan yielded implementation registered after its snapshot was pinned")
 			}
@@ -107,7 +107,7 @@ func TestRegisterProgressDuringSlowScan(t *testing.T) {
 	}
 	close(release)
 	if err := <-scanDone; err != nil {
-		t.Fatalf("QueryScan: %v", err)
+		t.Fatalf("Scan: %v", err)
 	}
 	if seen != len(base) {
 		t.Errorf("parked scan yielded %d implementations, want the %d in its snapshot", seen, len(base))
@@ -138,7 +138,7 @@ func TestConcurrentQueriesAndRegistrations(t *testing.T) {
 					return
 				default:
 				}
-				err := db.QueryByFunctionScan(genus.FuncSTORAGE, func(c Candidate) bool {
+				err := db.Scan(Spec{Functions: []genus.Function{genus.FuncSTORAGE}}, func(c Candidate) bool {
 					if _, err := db.ImplByName(c.Impl.Name); err != nil {
 						t.Errorf("re-entrant ImplByName(%s): %v", c.Impl.Name, err)
 						return false
@@ -163,7 +163,7 @@ func TestConcurrentQueriesAndRegistrations(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := db.QueryByComponentTopK(genus.CompCounter, 3, AtWidth(8)); err != nil {
+				if _, err := db.Query(Spec{Type: genus.CompCounter, Where: []Constraint{AtWidth(8)}, Limit: 3}); err != nil {
 					t.Errorf("ranked query: %v", err)
 					return
 				}
@@ -218,12 +218,12 @@ func TestWeightsConstraint(t *testing.T) {
 	if err := db.SetToolParam("icdb", "area_weight", 100); err != nil {
 		t.Fatal(err)
 	}
-	byDefault, err := db.QueryByComponent(genus.CompCounter)
+	byDefault, err := db.Query(Spec{Type: genus.CompCounter})
 	if err != nil || len(byDefault) == 0 {
 		t.Fatalf("default query: %v (%d candidates)", err, len(byDefault))
 	}
 	// ...but a Weights override scores delay only.
-	byDelay, err := db.QueryByComponent(genus.CompCounter, Weights(0, 1))
+	byDelay, err := db.Query(Spec{Type: genus.CompCounter, Where: []Constraint{Weights(0, 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestWeightsConstraint(t *testing.T) {
 		}
 	}
 	// Last Weights wins.
-	cands, err := db.QueryByComponent(genus.CompCounter, Weights(0, 1), Weights(1, 0))
+	cands, err := db.Query(Spec{Type: genus.CompCounter, Where: []Constraint{Weights(0, 1), Weights(1, 0)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,7 @@ func TestQueryByFunctionRanking(t *testing.T) {
 	db := openDB(t)
 	// STORAGE: reg_d (cost 7) ranks ahead of cnt_up (cost 14);
 	// cnt_ripple executes no STORAGE and must not appear.
-	cands, err := db.QueryByFunction(genus.FuncSTORAGE)
+	cands, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +164,10 @@ func TestQueryByFunctionRanking(t *testing.T) {
 		}
 	}
 	// Function names normalize case-insensitively.
-	if _, err := db.QueryByFunction(genus.Function("storage")); err != nil {
+	if _, err := db.Query(Spec{Functions: []genus.Function{genus.Function("storage")}}); err != nil {
 		t.Errorf("lower-case function: %v", err)
 	}
-	if _, err := db.QueryByFunction(genus.Function("FROB")); err == nil {
+	if _, err := db.Query(Spec{Functions: []genus.Function{genus.Function("FROB")}}); err == nil {
 		t.Error("unknown function accepted")
 	}
 }
@@ -176,14 +176,14 @@ func TestQueryByFunctionsMerged(t *testing.T) {
 	db := openDB(t)
 	// COUNTER+STORAGE: only cnt_up merges both (the paper's §4.1 merged
 	// component query).
-	cands, err := db.QueryByFunctions([]genus.Function{genus.FuncCOUNTER, genus.FuncSTORAGE})
+	cands, err := db.Query(Spec{Functions: []genus.Function{genus.FuncCOUNTER, genus.FuncSTORAGE}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cands) != 1 || cands[0].Impl.Name != "cnt_up" {
 		t.Fatalf("COUNTER+STORAGE = %v, want [cnt_up]", names(cands))
 	}
-	if _, err := db.QueryByFunctions(nil); err == nil {
+	if _, err := db.Query(Spec{Functions: []genus.Function{}}); err == nil {
 		t.Error("empty query accepted")
 	}
 }
@@ -195,7 +195,7 @@ func TestQueryConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := db.QueryByFunction(genus.FuncSTORAGE, c)
+	cands, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Where: []Constraint{c}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestQueryConstraints(t *testing.T) {
 	}
 	// Combined expression with &&, comparison, arithmetic.
 	c2 := MustWhere("area + delay < 20 && stages == 1")
-	cands, err = db.QueryByFunction(genus.FuncINC, c2)
+	cands, err = db.Query(Spec{Functions: []genus.Function{genus.FuncINC}, Where: []Constraint{c2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +212,13 @@ func TestQueryConstraints(t *testing.T) {
 		t.Fatalf("INC with cost bound = %v", names(cands))
 	}
 	// Typed helpers.
-	if cs, _ := db.QueryByComponent(genus.CompCounter, ForWidth(100)); len(cs) != 0 {
+	if cs, _ := db.Query(Spec{Type: genus.CompCounter, Where: []Constraint{ForWidth(100)}}); len(cs) != 0 {
 		t.Errorf("ForWidth(100) = %v, want none", names(cs))
 	}
-	if cs, _ := db.QueryByComponent(genus.CompCounter, MaxDelay(3)); len(cs) != 1 {
+	if cs, _ := db.Query(Spec{Type: genus.CompCounter, Where: []Constraint{MaxDelay(3)}}); len(cs) != 1 {
 		t.Errorf("MaxDelay(3) = %v, want [cnt_up]", names(cs))
 	}
-	if cs, _ := db.QueryByComponent(genus.CompCounter, MaxArea(8)); len(cs) != 1 {
+	if cs, _ := db.Query(Spec{Type: genus.CompCounter, Where: []Constraint{MaxArea(8)}}); len(cs) != 1 {
 		t.Errorf("MaxArea(8) = %v, want [cnt_ripple]", names(cs))
 	}
 }
@@ -229,10 +229,10 @@ func TestWhereErrors(t *testing.T) {
 	}
 	c := MustWhere("frobs > 1")
 	db := openDB(t)
-	if _, err := db.QueryByFunction(genus.FuncSTORAGE, c); err == nil || !strings.Contains(err.Error(), "unknown attribute") {
+	if _, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Where: []Constraint{c}}); err == nil || !strings.Contains(err.Error(), "unknown attribute") {
 		t.Errorf("err = %v, want unknown attribute", err)
 	}
-	if _, err := db.QueryByFunction(genus.FuncSTORAGE, MustWhere("area / 0 > 1")); err == nil {
+	if _, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Where: []Constraint{MustWhere("area / 0 > 1")}}); err == nil {
 		t.Error("division by zero accepted")
 	}
 	defer func() {
@@ -245,14 +245,14 @@ func TestWhereErrors(t *testing.T) {
 
 func TestQueryByComponent(t *testing.T) {
 	db := openDB(t)
-	cands, err := db.QueryByComponent(genus.CompCounter)
+	cands, err := db.Query(Spec{Type: genus.CompCounter})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cands) != 2 || cands[0].Impl.Name != "cnt_up" || cands[1].Impl.Name != "cnt_ripple" {
 		t.Fatalf("Counter impls = %v, want [cnt_up cnt_ripple]", names(cands))
 	}
-	if _, err := db.QueryByComponent("Widget"); err == nil {
+	if _, err := db.Query(Spec{Type: "Widget"}); err == nil {
 		t.Error("unknown component accepted")
 	}
 }
@@ -260,7 +260,7 @@ func TestQueryByComponent(t *testing.T) {
 func TestToolParamsAffectRanking(t *testing.T) {
 	db := openDB(t)
 	// Default weights: cnt_up (12+2=14) beats cnt_ripple (7+9=16).
-	cands, err := db.QueryByFunction(genus.FuncINC)
+	cands, err := db.Query(Spec{Functions: []genus.Function{genus.FuncINC}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestToolParamsAffectRanking(t *testing.T) {
 	if err := db.SetToolParam("icdb", "delay_weight", 0); err != nil {
 		t.Fatal(err)
 	}
-	cands, err = db.QueryByFunction(genus.FuncINC)
+	cands, err = db.Query(Spec{Functions: []genus.Function{genus.FuncINC}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestOpenLazyTouchesNothing(t *testing.T) {
 
 	// A width-free query touches implementations (rows + derived
 	// indexes) but must not hydrate the estimators relation.
-	cands, err := db.QueryByFunction(genus.FuncSTORAGE)
+	cands, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestOpenLazyTouchesNothing(t *testing.T) {
 	}
 
 	// A width-point query needs the estimator cache — now it hydrates.
-	if _, err := db.QueryByFunction(genus.FuncSTORAGE, AtWidth(8)); err != nil {
+	if _, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Where: []Constraint{AtWidth(8)}}); err != nil {
 		t.Fatal(err)
 	}
 	if pending(store, TableEstimators) {

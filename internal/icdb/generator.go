@@ -277,7 +277,8 @@ func genNamePat(name string) *regexp.Regexp {
 // the generator's IIF source re-headed under the new name. The emitted
 // implementation is registered through RegisterImpl — immediately
 // queryable, expandable, and persisted like any hand-written row — and
-// carries the generator's estimator expressions in the estimators
+// carries the generator's estimator expressions, with the point's
+// parameter bindings substituted (see bindParams), in the estimators
 // relation. Generating the same point twice reuses the registered
 // implementation (reused is true).
 func (db *DB) Generate(name string, params map[string]int) (im Impl, reused bool, err error) {
@@ -347,10 +348,10 @@ func (db *DB) Generate(name string, params map[string]int) (im Impl, reused bool
 	}
 	// Attach the generator's estimators so the generated implementation
 	// stays width-aware under AtWidth queries and estimate commands.
-	if err := db.RegisterEstimator(implName, "area", g.AreaExpr); err != nil {
+	if err := db.RegisterEstimator(implName, "area", bindParams(g.AreaExpr, params)); err != nil {
 		return Impl{}, false, err
 	}
-	if err := db.RegisterEstimator(implName, "delay", g.DelayExpr); err != nil {
+	if err := db.RegisterEstimator(implName, "delay", bindParams(g.DelayExpr, params)); err != nil {
 		return Impl{}, false, err
 	}
 	// Every generated implementation is a design point of its generator's
@@ -366,6 +367,40 @@ func (db *DB) Generate(name string, params map[string]int) (im Impl, reused bool
 		return Impl{}, false, err
 	}
 	return im, false, nil
+}
+
+// bindParams returns generator estimator expr with every reference to a
+// bound parameter replaced by its value at the generated point: the
+// generated implementation's attribute environment holds no parameters,
+// so an estimator such as "k * width" would otherwise fail at query time.
+// "width" stays free — queries bind it to their evaluation point, which
+// for a generated implementation can only be its bound size. An
+// expression referencing no parameter is returned verbatim.
+func bindParams(expr string, params map[string]int) string {
+	e, err := iif.ParseExpr(expr)
+	if err != nil {
+		return expr // RegisterGenerator already parsed it; RegisterEstimator reports
+	}
+	bound := false
+	var bind func(iif.Expr) iif.Expr
+	bind = func(e iif.Expr) iif.Expr {
+		switch x := e.(type) {
+		case *iif.Ref:
+			if v, ok := params[x.Name]; ok && x.Name != "width" && len(x.Index) == 0 {
+				bound = true
+				return &iif.IntLit{V: v, Pos: x.Pos}
+			}
+		case *iif.Unary:
+			return &iif.Unary{Op: x.Op, X: bind(x.X), Pos: x.Pos}
+		case *iif.Binary:
+			return &iif.Binary{Op: x.Op, X: bind(x.X), Y: bind(x.Y), Pos: x.Pos}
+		}
+		return e
+	}
+	if e = bind(e); !bound {
+		return expr
+	}
+	return iif.ExprString(e)
 }
 
 // EstimatorAttrs returns the attribute names an estimator expression may

@@ -59,8 +59,7 @@ func TestAtWidthEvaluatesEstimators(t *testing.T) {
 		{16, "flat_add", 20}, // 2*16 = 32 loses to 20
 		{10, "flat_add", 20}, // tie at 2*10=20 broken by name
 	} {
-		cands, err := db.QueryByFunctionsOrdered(
-			[]genus.Function{genus.FuncADD}, Order{Attr: "area"}, 0, AtWidth(c.width))
+		cands, err := db.Query(Spec{Functions: []genus.Function{genus.FuncADD}, Where: []Constraint{AtWidth(c.width)}, Order: Order{Attr: "area"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +81,7 @@ func TestAtWidthEvaluatesEstimators(t *testing.T) {
 // width range covers the point, like ForWidth.
 func TestAtWidthFiltersCoverage(t *testing.T) {
 	db := openTestDB(t)
-	cands, err := db.QueryOrdered(Order{}, 0, AtWidth(65)) // builtins stop at 64
+	cands, err := db.Query(Spec{Where: []Constraint{AtWidth(65)}}) // builtins stop at 64
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +109,11 @@ func TestAtWidthConstraintsSeeEvaluatedValues(t *testing.T) {
 		return false
 	}
 	// At width 4 the evaluated area is 8 <= 10; at width 8 it is 16.
-	in4, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncADD}, Order{}, 0, AtWidth(4), le)
+	in4, err := db.Query(Spec{Functions: []genus.Function{genus.FuncADD}, Where: []Constraint{AtWidth(4), le}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in8, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncADD}, Order{}, 0, AtWidth(8), le)
+	in8, err := db.Query(Spec{Functions: []genus.Function{genus.FuncADD}, Where: []Constraint{AtWidth(8), le}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestAtWidthConstraintsSeeEvaluatedValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byW, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncADD}, Order{}, 0, AtWidth(8), wq)
+	byW, err := db.Query(Spec{Functions: []genus.Function{genus.FuncADD}, Where: []Constraint{AtWidth(8), wq}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +140,11 @@ func TestAtWidthTopKMatchesUnbounded(t *testing.T) {
 	db := openTestDB(t)
 	regScaled(t, db, "flat_add", 20, 3, "area", "delay")
 	regScaled(t, db, "scaled_add", 2, 1, "area * width", "delay * width")
-	all, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncADD}, Order{Attr: "delay"}, 0, AtWidth(16))
+	all, err := db.Query(Spec{Functions: []genus.Function{genus.FuncADD}, Where: []Constraint{AtWidth(16)}, Order: Order{Attr: "delay"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncADD}, Order{Attr: "delay"}, 2, AtWidth(16))
+	top, err := db.Query(Spec{Functions: []genus.Function{genus.FuncADD}, Where: []Constraint{AtWidth(16)}, Order: Order{Attr: "delay"}, Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,15 +160,15 @@ func TestAtWidthTopKMatchesUnbounded(t *testing.T) {
 // points fail eagerly on ranked and streaming paths.
 func TestAtWidthRejectsConflictsAndInvalid(t *testing.T) {
 	db := openTestDB(t)
-	if _, err := db.QueryOrdered(Order{}, 0, AtWidth(0)); err == nil ||
+	if _, err := db.Query(Spec{Where: []Constraint{AtWidth(0)}}); err == nil ||
 		!strings.Contains(err.Error(), "at least 1") {
 		t.Errorf("AtWidth(0): %v", err)
 	}
-	if _, err := db.QueryOrdered(Order{}, 0, AtWidth(4), AtWidth(8)); err == nil ||
+	if _, err := db.Query(Spec{Where: []Constraint{AtWidth(4), AtWidth(8)}}); err == nil ||
 		!strings.Contains(err.Error(), "conflicting") {
 		t.Errorf("conflicting widths: %v", err)
 	}
-	if err := db.QueryScan(func(Candidate) bool { return true }, AtWidth(-3)); err == nil {
+	if err := db.Scan(Spec{Where: []Constraint{AtWidth(-3)}}, func(Candidate) bool { return true }); err == nil {
 		t.Error("streaming path accepted an invalid width point")
 	}
 }
@@ -204,11 +203,11 @@ func TestConstantEstimatorsMatchScalarEngine(t *testing.T) {
 	}
 	for _, order := range []Order{{}, {Attr: "area"}, {Attr: "delay", Desc: true}, {Attr: "cost"}} {
 		for _, k := range []int{0, 3} {
-			want, err := scalar.QueryOrdered(order, k, ForWidth(8))
+			want, err := scalar.Query(Spec{Where: []Constraint{ForWidth(8)}, Order: order, Limit: k})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := est.QueryOrdered(order, k, AtWidth(8))
+			got, err := est.Query(Spec{Where: []Constraint{AtWidth(8)}, Order: order, Limit: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +302,7 @@ func TestGenerateRegistersQueryableImpl(t *testing.T) {
 		t.Errorf("generated estimates = (%g, %g), want (80, 14)", im.Area, im.Delay)
 	}
 	// Queryable by function, and ranked width-aware.
-	cands, err := db.QueryByFunction(genus.FuncSUB, AtWidth(8))
+	cands, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSUB}, Where: []Constraint{AtWidth(8)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,6 +332,69 @@ func TestGenerateRegistersQueryableImpl(t *testing.T) {
 	}
 }
 
+// TestGenerateBindsParamsIntoEstimators: a generator estimator over a
+// parameter other than the width ("k * width" with params size,k) is
+// attached to the generated implementation with the point's bindings
+// substituted, so at-width finds over the function — including finds
+// at widths the implementation does not cover — evaluate instead of
+// failing with "unknown attribute". The materializing Explore path
+// attaches the same bound estimators.
+func TestGenerateBindsParamsIntoEstimators(t *testing.T) {
+	db := openTestDB(t)
+	if err := db.RegisterGenerator(Generator{
+		Name:      "gen_k",
+		Component: genus.CompAdderSubtractor,
+		Style:     "test",
+		Functions: []genus.Function{genus.FuncADD},
+		WidthMin:  1, WidthMax: 64,
+		Params:    []string{"size", "k"},
+		AreaExpr:  "k * width",
+		DelayExpr: "size + 1",
+		Source:    "NAME: gen_k; PARAMETER: size, k; INORDER: a, b; OUTORDER: s; { s = a (+) b; }",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	im, _, err := db.Generate("gen_k", map[string]int{"size": 8, "k": 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if im.Area != 24 || im.Delay != 9 {
+		t.Errorf("generated estimates = (%g, %g), want (24, 9)", im.Area, im.Delay)
+	}
+	if ests, _ := db.Estimators(im.Name); ests["area"] != "(3*width)" || ests["delay"] != "(8+1)" {
+		t.Errorf("attached estimators = %v, want bound (3*width), (8+1)", ests)
+	}
+	found := func(width int, name string) (Candidate, bool) {
+		t.Helper()
+		cands, err := db.Query(Spec{Functions: []genus.Function{genus.FuncADD}, Where: []Constraint{AtWidth(width)}})
+		if err != nil {
+			t.Fatalf("find ADD at width %d: %v", width, err)
+		}
+		for _, c := range cands {
+			if c.Impl.Name == name {
+				return c, true
+			}
+		}
+		return Candidate{}, false
+	}
+	if c, ok := found(8, im.Name); !ok || c.Area != 24 || c.Delay != 9 {
+		t.Errorf("find at 8: %s = %+v (found %v), want area 24 delay 9", im.Name, c, ok)
+	}
+	if _, ok := found(16, im.Name); ok {
+		t.Errorf("find at 16 returned %s, which only covers width 8", im.Name)
+	}
+	if area, delay, _, err := db.EstimateImpl(im.Name, 8); err != nil || area != 24 || delay != 9 {
+		t.Errorf("estimate %s at 8 = (%g, %g, %v), want (24, 9)", im.Name, area, delay, err)
+	}
+	pts, err := db.Explore("gen_k", 4, 4, 1, map[string]int{"k": 2}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := found(4, pts[0].Impl); !ok || c.Area != 8 || c.Delay != 5 {
+		t.Errorf("find at 4: %s = %+v (found %v), want area 8 delay 5", pts[0].Impl, c, ok)
+	}
+}
+
 // TestGeneratorPersistenceRoundTrip: generators, estimators, and
 // generated implementations survive both persistence formats, and the
 // reopened database keeps answering width-aware queries identically.
@@ -341,7 +403,7 @@ func TestGeneratorPersistenceRoundTrip(t *testing.T) {
 	if _, _, err := db.Generate("gen_cnt", map[string]int{"size": 24}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncCOUNTER}, Order{Attr: "area"}, 0, AtWidth(24))
+	want, err := db.Query(Spec{Functions: []genus.Function{genus.FuncCOUNTER}, Where: []Constraint{AtWidth(24)}, Order: Order{Attr: "area"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +429,7 @@ func TestGeneratorPersistenceRoundTrip(t *testing.T) {
 		if err != nil || g.AreaExpr != "12 * width" {
 			t.Fatalf("%s: generator lost: %+v (%v)", path, g, err)
 		}
-		got, err := re.QueryByFunctionsOrdered([]genus.Function{genus.FuncCOUNTER}, Order{Attr: "area"}, 0, AtWidth(24))
+		got, err := re.Query(Spec{Functions: []genus.Function{genus.FuncCOUNTER}, Where: []Constraint{AtWidth(24)}, Order: Order{Attr: "area"}})
 		if err != nil {
 			t.Fatal(err)
 		}

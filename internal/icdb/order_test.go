@@ -26,12 +26,12 @@ func TestQueryOrderedByAttr(t *testing.T) {
 	for _, key := range OrderKeys() {
 		for _, desc := range []bool{false, true} {
 			order := Order{Attr: key, Desc: desc}
-			cands, err := db.QueryOrdered(order, 0)
+			cands, err := db.Query(Spec{Order: order})
 			if err != nil {
-				t.Fatalf("QueryOrdered(%+v): %v", order, err)
+				t.Fatalf("Query(%+v): %v", order, err)
 			}
 			if len(cands) == 0 {
-				t.Fatalf("QueryOrdered(%+v): no candidates", order)
+				t.Fatalf("Query(%+v): no candidates", order)
 			}
 			if !sort.SliceIsSorted(cands, func(i, j int) bool {
 				ri := order.rank(&cands[i].Impl, cands[i].Area, cands[i].Delay, cands[i].Cost)
@@ -41,11 +41,11 @@ func TestQueryOrderedByAttr(t *testing.T) {
 				}
 				return cands[i].Impl.Name < cands[j].Impl.Name
 			}) {
-				t.Errorf("QueryOrdered(%+v): result not sorted", order)
+				t.Errorf("Query(%+v): result not sorted", order)
 			}
 			for _, c := range cands {
 				if want := c.Impl.Area + c.Impl.Delay; c.Cost != want {
-					t.Errorf("QueryOrdered(%+v): %s Cost = %g, want weighted %g",
+					t.Errorf("Query(%+v): %s Cost = %g, want weighted %g",
 						order, c.Impl.Name, c.Cost, want)
 				}
 			}
@@ -64,12 +64,12 @@ func TestOrderedTopKMatchesUnbounded(t *testing.T) {
 		{Attr: "area"},
 		{},
 	} {
-		all, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncSTORAGE}, order, 0)
+		all, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Order: order})
 		if err != nil {
 			t.Fatalf("unbounded: %v", err)
 		}
 		for k := 1; k <= len(all)+1; k++ {
-			got, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncSTORAGE}, order, k)
+			got, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Order: order, Limit: k})
 			if err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
@@ -91,14 +91,14 @@ func TestOrderedTopKMatchesUnbounded(t *testing.T) {
 }
 
 // TestOrderedDefaultEqualsTopK pins the compatibility contract: the zero
-// Order is exactly the pre-existing cost ranking.
+// Order is exactly the explicit cost ranking.
 func TestOrderedDefaultEqualsTopK(t *testing.T) {
 	db := openTestDB(t)
-	legacy, err := db.QueryByFunctionTopK(genus.FuncSTORAGE, 3)
+	legacy, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordered, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncSTORAGE}, Order{}, 3)
+	ordered, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Order: Order{Attr: OrderKeyCost}, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,21 +117,18 @@ func TestOrderedDefaultEqualsTopK(t *testing.T) {
 // Counter, and the bound applies after the type filter.
 func TestQueryByFunctionsOfTypeOrdered(t *testing.T) {
 	db := openTestDB(t)
-	got, err := db.QueryByFunctionsOfTypeOrdered(
-		[]genus.Function{genus.FuncSTORAGE}, genus.CompCounter, Order{Attr: "delay"}, 1)
+	got, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Type: genus.CompCounter, Order: Order{Attr: "delay"}, Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].Impl.Name != "cnt_up" {
 		t.Fatalf("got %+v, want [cnt_up]", got)
 	}
-	if _, err := db.QueryByFunctionsOfTypeOrdered(
-		[]genus.Function{genus.FuncSTORAGE}, "Bogus", Order{}, 0); err == nil {
+	if _, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Type: "Bogus"}); err == nil {
 		t.Error("want error for unknown component type")
 	}
 	// Case-insensitive type, like every CQL-facing entry point.
-	got, err = db.QueryByFunctionsOfTypeOrdered(
-		[]genus.Function{genus.FuncSTORAGE}, "counter", Order{}, 0)
+	got, err = db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Type: "counter"})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("lower-case type: %v, %v", got, err)
 	}
@@ -139,14 +136,14 @@ func TestQueryByFunctionsOfTypeOrdered(t *testing.T) {
 
 func TestOrderValidate(t *testing.T) {
 	db := openTestDB(t)
-	_, err := db.QueryOrdered(Order{Attr: "cots"}, 0)
+	_, err := db.Query(Spec{Order: Order{Attr: "cots"}})
 	if err == nil {
 		t.Fatal("want error for unknown order key")
 	}
 	if !strings.Contains(err.Error(), `"cots"`) || !strings.Contains(err.Error(), "cost") {
 		t.Errorf("error %q should name the bad key and the vocabulary", err)
 	}
-	if _, err := db.QueryByComponentOrdered(genus.CompCounter, Order{Attr: "width_min", Desc: true}, 0); err != nil {
+	if _, err := db.Query(Spec{Type: genus.CompCounter, Order: Order{Attr: "width_min", Desc: true}}); err != nil {
 		t.Errorf("width_min is a valid order key: %v", err)
 	}
 }
@@ -200,11 +197,11 @@ func TestAttrCmpConstrainsQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCmp, err := db.QueryByFunction(genus.FuncSTORAGE, lt, ForWidth(8))
+	viaCmp, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Where: []Constraint{lt, ForWidth(8)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaMax, err := db.QueryByFunction(genus.FuncSTORAGE, MaxArea(10), ForWidth(8))
+	viaMax, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Where: []Constraint{MaxArea(10), ForWidth(8)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -274,8 +274,8 @@ func attrNames(a Attrs) []string {
 // type is available as Impl.Component.
 type Candidate struct {
 	// Impl is a caller-owned copy of the matching implementation (see
-	// Impl.Clone), except in the streaming Scan queries, which share the
-	// cache's backing and document the read-only contract themselves.
+	// Impl.Clone), except under Scan, which shares the cache's backing
+	// and documents the read-only contract itself.
 	Impl Impl
 	// Area and Delay are the cost estimates the query evaluated for this
 	// candidate: under an AtWidth evaluation point they are the estimator
@@ -286,7 +286,7 @@ type Candidate struct {
 	// Cost is the ranking score: Area*area_weight + Delay*delay_weight,
 	// with weights taken from tool parameters (tool "icdb", defaulting to
 	// 1). Lower is better. Cost carries the weighted score even when a
-	// query is Ordered by a different attribute.
+	// query orders by a different attribute.
 	Cost float64
 }
 
@@ -294,7 +294,7 @@ type Candidate struct {
 // that ranks by the weighted cost score rather than a raw attribute.
 const OrderKeyCost = "cost"
 
-// Order selects the sort key of a ranked (non-Scan) query. The zero
+// Order selects the sort key of a ranked query (see Query). The zero
 // Order is the engine's default ranking: weighted cost, cheapest first.
 // Attr may be OrderKeyCost or any attribute in ConstraintAttrs; Desc
 // reverses the direction. Ties are always broken by implementation name,
@@ -376,114 +376,85 @@ func (db *DB) rankWeights() (wa, wd float64) {
 	return wa, wd
 }
 
-// QueryByFunction answers the paper's central query: which component
-// implementations can execute function fn, subject to attribute
-// constraints? Results are ranked by cost, cheapest first.
-func (db *DB) QueryByFunction(fn genus.Function, cs ...Constraint) ([]Candidate, error) {
-	return db.QueryByFunctions([]genus.Function{fn}, cs...)
+// Spec is one implementation query — the paper's central question:
+// which implementations execute the functions F, of component type T,
+// under attribute constraints, ranked by cost? Every field is optional.
+//
+// Functions selects implementations executing every listed function
+// (the merged-component query of §4.1: COUNTER+STORAGE finds counters
+// but not pure incrementers), served by intersecting the function
+// inverted index's posting lists. A nil Functions selects no function
+// filter; a non-nil empty one is rejected as a query with no functions.
+// Type restricts candidates to one component type, applied inside the
+// stream — before the TopK heap — when Functions is also set, and
+// otherwise served from the component inverted index. With neither
+// set, the query walks the whole catalog. Where holds the attribute
+// constraints (including the AtWidth evaluation point and Weights).
+// Order and Limit only apply to Query: Order is the sort key (the zero
+// Order ranks by weighted cost, cheapest first) and a positive Limit
+// keeps the best Limit candidates in a bounded heap; 0 is unbounded.
+type Spec struct {
+	Functions []genus.Function
+	Type      genus.ComponentType
+	Where     []Constraint
+	Order     Order
+	Limit     int
 }
 
-// QueryByFunctions returns implementations that execute every function in
-// fns (the merged-component query of §4.1: COUNTER+STORAGE finds
-// counters but not pure incrementers), ranked by cost. Candidates come
-// from intersecting the function inverted index's posting lists, not
-// from scanning the implementations relation.
-func (db *DB) QueryByFunctions(fns []genus.Function, cs ...Constraint) ([]Candidate, error) {
-	return db.QueryByFunctionsTopK(fns, 0, cs...)
-}
-
-// QueryByFunctionTopK is QueryByFunction bounded to the k cheapest
-// candidates (k <= 0 means unbounded). Bounded queries rank with a
-// fixed-size heap instead of sorting every match.
-func (db *DB) QueryByFunctionTopK(fn genus.Function, k int, cs ...Constraint) ([]Candidate, error) {
-	return db.QueryByFunctionsTopK([]genus.Function{fn}, k, cs...)
-}
-
-// QueryByFunctionsTopK is QueryByFunctions bounded to the k cheapest
-// candidates (k <= 0 means unbounded).
-func (db *DB) QueryByFunctionsTopK(fns []genus.Function, k int, cs ...Constraint) ([]Candidate, error) {
-	return db.QueryByFunctionsOrdered(fns, Order{}, k, cs...)
-}
-
-// QueryByFunctionsOrdered is QueryByFunctionsTopK under an explicit sort
-// key: candidates executing every function in fns, ranked by order,
-// bounded to the best k (k <= 0 means unbounded). It is the engine entry
-// point for CQL "find … order by …" commands.
-func (db *DB) QueryByFunctionsOrdered(fns []genus.Function, order Order, k int, cs ...Constraint) ([]Candidate, error) {
-	return db.rankSeq(func(d *derived, visit func(*Impl) bool) error {
-		return forEachByFunctions(d, fns, visit)
-	}, cs, k, order)
-}
-
-// QueryByFunctionsOfTypeOrdered is QueryByFunctionsOrdered restricted
-// to one component type: candidates must execute every function in fns
-// and be implementations of ct. The type filter applies in-stream,
-// before the TopK heap, so a bounded query clones O(k) implementations
-// like every other ranked path. It serves CQL find commands combining
-// "of type" with "executing".
-func (db *DB) QueryByFunctionsOfTypeOrdered(fns []genus.Function, ct genus.ComponentType, order Order, k int, cs ...Constraint) ([]Candidate, error) {
-	nct, ok := genus.NormalizeComponentType(string(ct))
-	if !ok {
-		return nil, fmt.Errorf("icdb: unknown component type %q", ct)
+// Query returns the ranked answer to s, best first under s.Order (ties
+// broken by implementation name), bounded to s.Limit candidates when
+// positive. Each returned Candidate's Impl is a caller-owned copy.
+func (db *DB) Query(s Spec) ([]Candidate, error) {
+	p, err := db.plan(s)
+	if err != nil {
+		return nil, err
 	}
-	return db.rankSeq(func(d *derived, visit func(*Impl) bool) error {
-		return forEachByFunctions(d, fns, func(im *Impl) bool {
-			if im.Component != nct {
-				return true
-			}
-			return visit(im)
-		})
-	}, cs, k, order)
+	return p.rank(s.Order, s.Limit)
 }
 
-// QueryByComponent returns the ranked implementations of one component
-// type, served from the component inverted index.
-func (db *DB) QueryByComponent(ct genus.ComponentType, cs ...Constraint) ([]Candidate, error) {
-	return db.QueryByComponentTopK(ct, 0, cs...)
-}
-
-// QueryByComponentTopK is QueryByComponent bounded to the k cheapest
-// candidates (k <= 0 means unbounded).
-func (db *DB) QueryByComponentTopK(ct genus.ComponentType, k int, cs ...Constraint) ([]Candidate, error) {
-	return db.QueryByComponentOrdered(ct, Order{}, k, cs...)
-}
-
-// QueryByComponentOrdered is QueryByComponentTopK under an explicit sort
-// key (see Order).
-func (db *DB) QueryByComponentOrdered(ct genus.ComponentType, order Order, k int, cs ...Constraint) ([]Candidate, error) {
-	return db.rankSeq(func(d *derived, visit func(*Impl) bool) error {
-		return forEachByComponent(d, ct, visit)
-	}, cs, k, order)
-}
-
-// QueryOrdered ranks the whole catalog: every registered implementation
-// passing cs, sorted by order, bounded to the best k (k <= 0 means
-// unbounded). It serves CQL "find component" commands that select by
-// attribute alone, with no function or component-type filter.
-func (db *DB) QueryOrdered(order Order, k int, cs ...Constraint) ([]Candidate, error) {
-	return db.rankSeq(forEachImpl, cs, k, order)
+// Scan is the streaming form of Query: it yields each candidate
+// answering s to visit as it is found, without materializing, ranking,
+// or copying the result set. Candidates arrive in unspecified order;
+// visit returning false stops the scan. A Spec with a non-zero Order or
+// Limit is rejected, since a stream has neither.
+//
+// The yielded Candidate's Impl shares the cache's backing slices: treat
+// it as read-only and call Impl.Clone before retaining it past the
+// visit. The stream runs over a pinned copy-on-write snapshot and holds
+// no lock, so visit MAY take arbitrarily long and MAY call back into
+// the DB — re-entrant queries and registrations proceed normally; the
+// stream keeps yielding the snapshot it pinned and concurrent writers
+// are never blocked by a slow visitor.
+func (db *DB) Scan(s Spec, visit func(Candidate) bool) error {
+	if s.Order != (Order{}) || s.Limit != 0 {
+		return fmt.Errorf("icdb: scan takes no order or limit (got order %q, limit %d); use Query", s.Order.Attr, s.Limit)
+	}
+	p, err := db.plan(s)
+	if err != nil {
+		return err
+	}
+	return p.each(func(im *Impl, area, delay, cost float64) bool {
+		return visit(Candidate{Impl: *im, Area: area, Delay: delay, Cost: cost})
+	})
 }
 
 // ---- streaming core ----
 //
-// Every query path is built on an implSeq: a function streaming cached
-// *Impl values from one pinned derived snapshot to a visitor. The
-// snapshot is copy-on-write (see derivedSnap), so the stream holds no
-// lock: visitors may run arbitrarily long and may call back into the
-// DB — including registering implementations, which land in a fresh
-// snapshot without disturbing the one mid-stream. Cached *Impl values
-// are never mutated in place (re-registration swaps pointers), so
-// consumers may retain one past the stream — but must copy (Clone)
-// anything they hand to callers.
-
-// implSeq streams implementations out of snapshot d to visit, stopping
-// early when visit returns false.
-type implSeq func(d *derived, visit func(*Impl) bool) error
+// Every query streams cached *Impl values from one pinned derived
+// snapshot to a visitor (see queryPlan.stream). The snapshot is
+// copy-on-write (see derivedSnap), so the stream holds no lock:
+// visitors may run arbitrarily long and may call back into the DB —
+// including registering implementations, which land in a fresh snapshot
+// without disturbing the one mid-stream. Cached *Impl values are never
+// mutated in place (re-registration swaps pointers), so consumers may
+// retain one past the stream — but must copy (Clone) anything they hand
+// to callers.
 
 // forEachByFunctions intersects the function inverted index's posting
 // lists smallest-first: it iterates the rarest function's postings and
-// yields implementations present in all others.
-func forEachByFunctions(d *derived, fns []genus.Function, visit func(*Impl) bool) error {
+// yields implementations present in all others — and, when ct is not
+// empty, of component type ct.
+func forEachByFunctions(d *derived, fns []genus.Function, ct genus.ComponentType, visit func(*Impl) bool) error {
 	if len(fns) == 0 {
 		return fmt.Errorf("icdb: query with no functions")
 	}
@@ -513,30 +484,9 @@ outer:
 				continue outer
 			}
 		}
-		if !visit(im) {
-			return nil
+		if ct != "" && im.Component != ct {
+			continue
 		}
-	}
-	return nil
-}
-
-// forEachByComponent streams one component type's posting map.
-func forEachByComponent(d *derived, ct genus.ComponentType, visit func(*Impl) bool) error {
-	nct, ok := genus.NormalizeComponentType(string(ct))
-	if !ok {
-		return fmt.Errorf("icdb: unknown component type %q", ct)
-	}
-	for _, im := range d.byCt[nct] {
-		if !visit(im) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// forEachImpl streams the whole decoded-implementation cache.
-func forEachImpl(d *derived, visit func(*Impl) bool) error {
-	for _, im := range d.impls {
 		if !visit(im) {
 			return nil
 		}
@@ -611,42 +561,84 @@ func (ev attrEval) evalAccept(cs []Constraint, im *Impl, attrs *Attrs) (area, de
 	return area, delay, true, nil
 }
 
-// rankSeq materializes the ranked answer of one streamed query:
-// survivors of the constraints, scored, and returned best-first under
-// order (ties broken by name). With k > 0 it keeps a worst-on-top heap
-// of k entries fed directly from the stream, so an unbounded result set
-// is never materialized or fully sorted. Cloning the retained
-// implementations is deferred until after the stream: cached *Impl
-// values are immutable and stay valid past the index lock.
-func (db *DB) rankSeq(seq implSeq, cs []Constraint, k int, order Order) ([]Candidate, error) {
-	if err := order.validate(); err != nil {
-		return nil, err
+// queryPlan is the prelude every query shares: the selectors of its
+// Spec (ct normalized), the pinned derived snapshot it streams from,
+// the attribute evaluation context, and the ranking weights. Query and
+// Scan differ only in what they do with each accepted row.
+type queryPlan struct {
+	fns    []genus.Function
+	ct     genus.ComponentType
+	d      *derived
+	ev     attrEval
+	cs     []Constraint
+	wa, wd float64
+}
+
+// plan resolves s into a queryPlan, rejecting unknown order keys and
+// component types and invalid evaluation points before any row is
+// visited.
+func (db *DB) plan(s Spec) (queryPlan, error) {
+	if err := s.Order.validate(); err != nil {
+		return queryPlan{}, err
 	}
-	width, err := evalWidth(cs)
+	p := queryPlan{fns: s.Functions, cs: s.Where}
+	if s.Type != "" {
+		ct, ok := genus.NormalizeComponentType(string(s.Type))
+		if !ok {
+			return queryPlan{}, fmt.Errorf("icdb: unknown component type %q", s.Type)
+		}
+		p.ct = ct
+	}
+	width, err := evalWidth(s.Where)
 	if err != nil {
-		return nil, err
+		return queryPlan{}, err
 	}
-	wa, wd := db.queryWeights(cs)
-	d, err := db.derivedSnap()
-	if err != nil {
-		return nil, err
+	p.ev.width = width
+	p.wa, p.wd = db.queryWeights(s.Where)
+	if p.d, err = db.derivedSnap(); err != nil {
+		return queryPlan{}, err
 	}
-	ev := attrEval{width: width}
 	if width != 0 {
 		// Estimators only evaluate at a width point; a width-free query
 		// never builds (or, lazily, decodes) the estimators relation.
 		es, err := db.estSnap()
 		if err != nil {
-			return nil, err
+			return queryPlan{}, err
 		}
-		ev.ests = es.ests
+		p.ev.ests = es.ests
 	}
-	var kept []heapItem
+	return p, nil
+}
+
+// stream yields the cached implementations p selects, from the one
+// source that serves them: the function postings intersection (filtered
+// to p.ct in the stream when both are set), the component posting map,
+// or the whole implementation cache. visit returning false stops it.
+func (p *queryPlan) stream(visit func(*Impl) bool) error {
+	if p.fns != nil {
+		return forEachByFunctions(p.d, p.fns, p.ct, visit)
+	}
+	post := p.d.impls
+	if p.ct != "" {
+		post = p.d.byCt[p.ct]
+	}
+	for _, im := range post {
+		if !visit(im) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// each streams p's candidates through the constraints and yields the
+// survivors, with their evaluated estimates and weighted cost, to
+// visit; visit returning false stops the stream. It allocates O(1)
+// total beyond what visit itself does.
+func (p *queryPlan) each(visit func(im *Impl, area, delay, cost float64) bool) error {
 	var attrs Attrs
 	var cerr error
-	h := candHeap{limit: k}
-	err = seq(d, func(im *Impl) bool {
-		area, delay, ok, err := ev.evalAccept(cs, im, &attrs)
+	err := p.stream(func(im *Impl) bool {
+		area, delay, ok, err := p.ev.evalAccept(p.cs, im, &attrs)
 		if err != nil {
 			cerr = err
 			return false
@@ -654,7 +646,24 @@ func (db *DB) rankSeq(seq implSeq, cs []Constraint, k int, order Order) ([]Candi
 		if !ok {
 			return true
 		}
-		cost := area*wa + delay*wd
+		return visit(im, area, delay, area*p.wa+delay*p.wd)
+	})
+	if err != nil {
+		return err
+	}
+	return cerr
+}
+
+// rank materializes p's ranked answer: survivors scored and returned
+// best-first under order (ties broken by name). With k > 0 it keeps a
+// worst-on-top heap of k entries fed directly from the stream, so an
+// unbounded result set is never materialized or fully sorted. Cloning
+// the retained implementations is deferred until after the stream:
+// cached *Impl values are immutable and stay valid past the index lock.
+func (p *queryPlan) rank(order Order, k int) ([]Candidate, error) {
+	var kept []heapItem
+	h := candHeap{limit: k}
+	err := p.each(func(im *Impl, area, delay, cost float64) bool {
 		it := heapItem{im: im, area: area, delay: delay, cost: cost, rank: order.rank(im, area, delay, cost)}
 		if k > 0 {
 			h.offer(it)
@@ -666,9 +675,6 @@ func (db *DB) rankSeq(seq implSeq, cs []Constraint, k int, order Order) ([]Candi
 	if err != nil {
 		return nil, err
 	}
-	if cerr != nil {
-		return nil, cerr
-	}
 	if k > 0 {
 		kept = h.items
 	}
@@ -679,88 +685,6 @@ func (db *DB) rankSeq(seq implSeq, cs []Constraint, k int, order Order) ([]Candi
 		out[i] = Candidate{Impl: it.im.Clone(), Area: it.area, Delay: it.delay, Cost: it.cost}
 	}
 	return out, nil
-}
-
-// scanSeq drives one streamed query end to end: constraint filtering,
-// costing, and delivery to the caller's visitor, allocating O(1) total
-// beyond what the visitor itself does.
-func (db *DB) scanSeq(seq implSeq, cs []Constraint, visit func(Candidate) bool) error {
-	width, err := evalWidth(cs)
-	if err != nil {
-		return err
-	}
-	wa, wd := db.queryWeights(cs)
-	d, err := db.derivedSnap()
-	if err != nil {
-		return err
-	}
-	ev := attrEval{width: width}
-	if width != 0 {
-		es, err := db.estSnap()
-		if err != nil {
-			return err
-		}
-		ev.ests = es.ests
-	}
-	var attrs Attrs
-	var cerr error
-	err = seq(d, func(im *Impl) bool {
-		area, delay, ok, err := ev.evalAccept(cs, im, &attrs)
-		if err != nil {
-			cerr = err
-			return false
-		}
-		if !ok {
-			return true
-		}
-		return visit(Candidate{Impl: *im, Area: area, Delay: delay, Cost: area*wa + delay*wd})
-	})
-	if err != nil {
-		return err
-	}
-	return cerr
-}
-
-// QueryByFunctionScan is the streaming form of QueryByFunction: it
-// yields each candidate executing fn (and passing cs) to visit as it is
-// found, without materializing, ranking, or copying the result set.
-// Candidates arrive in unspecified order; visit returning false stops
-// the scan.
-//
-// The yielded Candidate's Impl shares the cache's backing slices: treat
-// it as read-only and call Impl.Clone before retaining it past the
-// visit. The stream runs over a pinned copy-on-write snapshot and holds
-// no lock, so visit MAY take arbitrarily long and MAY call back into
-// the DB — re-entrant queries and registrations proceed normally; the
-// stream keeps yielding the snapshot it pinned and concurrent writers
-// are never blocked by a slow visitor.
-func (db *DB) QueryByFunctionScan(fn genus.Function, visit func(Candidate) bool, cs ...Constraint) error {
-	return db.QueryByFunctionsScan([]genus.Function{fn}, visit, cs...)
-}
-
-// QueryByFunctionsScan is QueryByFunctionScan over a function set: it
-// streams the implementations executing every function in fns. See
-// QueryByFunctionScan for the visitor contract.
-func (db *DB) QueryByFunctionsScan(fns []genus.Function, visit func(Candidate) bool, cs ...Constraint) error {
-	return db.scanSeq(func(d *derived, v func(*Impl) bool) error {
-		return forEachByFunctions(d, fns, v)
-	}, cs, visit)
-}
-
-// QueryByComponentScan streams the implementations of one component type.
-// See QueryByFunctionScan for the visitor contract.
-func (db *DB) QueryByComponentScan(ct genus.ComponentType, visit func(Candidate) bool, cs ...Constraint) error {
-	return db.scanSeq(func(d *derived, v func(*Impl) bool) error {
-		return forEachByComponent(d, ct, v)
-	}, cs, visit)
-}
-
-// QueryScan streams every registered implementation passing cs — the
-// whole-catalog walk for tools that want their own filtering or
-// aggregation without paying for a materialized copy. See
-// QueryByFunctionScan for the visitor contract.
-func (db *DB) QueryScan(visit func(Candidate) bool, cs ...Constraint) error {
-	return db.scanSeq(forEachImpl, cs, visit)
 }
 
 // candHeap is a bounded worst-on-top heap over (rank, name): the root is

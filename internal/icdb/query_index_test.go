@@ -33,13 +33,13 @@ func regCounter(t *testing.T, db *DB, name string, fns []genus.Function, area, d
 func TestInvertedIndexFollowsReRegistration(t *testing.T) {
 	db := openDB(t)
 	regCounter(t, db, "updown", []genus.Function{genus.FuncINC, genus.FuncDEC}, 5, 5)
-	cands, err := db.QueryByFunction(genus.FuncDEC)
+	cands, err := db.Query(Spec{Functions: []genus.Function{genus.FuncDEC}})
 	if err != nil || len(cands) != 1 || cands[0].Impl.Name != "updown" {
 		t.Fatalf("DEC query = %v (%v), want [updown]", names(cands), err)
 	}
 	// Drop DEC from the function set.
 	regCounter(t, db, "updown", []genus.Function{genus.FuncINC}, 5, 5)
-	cands, err = db.QueryByFunction(genus.FuncDEC)
+	cands, err = db.Query(Spec{Functions: []genus.Function{genus.FuncDEC}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestInvertedIndexFollowsReRegistration(t *testing.T) {
 	}
 	// It still answers INC, once, with no duplicate postings.
 	n := 0
-	cands, _ = db.QueryByFunction(genus.FuncINC)
+	cands, _ = db.Query(Spec{Functions: []genus.Function{genus.FuncINC}})
 	for _, c := range cands {
 		if c.Impl.Name == "updown" {
 			n++
@@ -66,7 +66,7 @@ func TestInvertedIndexFollowsReRegistration(t *testing.T) {
 func TestInvalidateCachesSeesDirectStoreWrites(t *testing.T) {
 	db := openDB(t)
 	// Warm the indexes.
-	if _, err := db.QueryByFunction(genus.FuncADD); err != nil {
+	if _, err := db.Query(Spec{Functions: []genus.Function{genus.FuncADD}}); err != nil {
 		t.Fatal(err)
 	}
 	rogue := Impl{
@@ -81,7 +81,7 @@ func TestInvalidateCachesSeesDirectStoreWrites(t *testing.T) {
 	if err := db.Store().Upsert(TableImplementations, implRow(rogue)); err != nil {
 		t.Fatal(err)
 	}
-	cands, err := db.QueryByFunction(genus.FuncADD)
+	cands, err := db.Query(Spec{Functions: []genus.Function{genus.FuncADD}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestInvalidateCachesSeesDirectStoreWrites(t *testing.T) {
 		}
 	}
 	db.InvalidateCaches()
-	cands, err = db.QueryByFunction(genus.FuncADD)
+	cands, err = db.Query(Spec{Functions: []genus.Function{genus.FuncADD}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +113,12 @@ func TestQueryTopK(t *testing.T) {
 			[]genus.Function{genus.FuncINC, genus.FuncCOUNTER},
 			float64((i*7)%13), float64((i*3)%11))
 	}
-	full, err := db.QueryByFunction(genus.FuncINC)
+	full, err := db.Query(Spec{Functions: []genus.Function{genus.FuncINC}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 3, 7, len(full), len(full) + 5} {
-		top, err := db.QueryByFunctionTopK(genus.FuncINC, k)
+		top, err := db.Query(Spec{Functions: []genus.Function{genus.FuncINC}, Limit: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,12 +137,12 @@ func TestQueryTopK(t *testing.T) {
 		}
 	}
 	// k <= 0 is unbounded.
-	all, err := db.QueryByFunctionTopK(genus.FuncINC, 0)
+	all, err := db.Query(Spec{Functions: []genus.Function{genus.FuncINC}, Limit: 0})
 	if err != nil || len(all) != len(full) {
 		t.Errorf("TopK(0) = %d candidates (%v), want %d", len(all), err, len(full))
 	}
 	// Constraints apply before the heap.
-	top, err := db.QueryByFunctionTopK(genus.FuncINC, 3, MustWhere("area >= 5"))
+	top, err := db.Query(Spec{Functions: []genus.Function{genus.FuncINC}, Where: []Constraint{MustWhere("area >= 5")}, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,11 @@ func TestQueryTopK(t *testing.T) {
 		}
 	}
 	// Component-scoped TopK agrees with the unbounded component query.
-	fullC, err := db.QueryByComponent(genus.CompCounter)
+	fullC, err := db.Query(Spec{Type: genus.CompCounter})
 	if err != nil {
 		t.Fatal(err)
 	}
-	topC, err := db.QueryByComponentTopK(genus.CompCounter, 2)
+	topC, err := db.Query(Spec{Type: genus.CompCounter, Limit: 2})
 	if err != nil || len(topC) != 2 {
 		t.Fatalf("component TopK = %v (%v)", names(topC), err)
 	}
@@ -171,11 +171,11 @@ func TestQueryTopK(t *testing.T) {
 // inert in a query, not a nil-function panic.
 func TestZeroConstraintAcceptsEverything(t *testing.T) {
 	db := openDB(t)
-	plain, err := db.QueryByFunction(genus.FuncSTORAGE)
+	plain, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withZero, err := db.QueryByFunction(genus.FuncSTORAGE, Constraint{})
+	withZero, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}, Where: []Constraint{{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +188,12 @@ func TestZeroConstraintAcceptsEverything(t *testing.T) {
 // must not corrupt the shared decoded cache.
 func TestQueryResultsAreCallerOwned(t *testing.T) {
 	db := openDB(t)
-	cands, err := db.QueryByFunction(genus.FuncSTORAGE)
+	cands, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}})
 	if err != nil || len(cands) == 0 {
 		t.Fatal(err)
 	}
 	cands[0].Impl.Functions[0] = genus.Function("CLOBBERED")
-	again, err := db.QueryByFunction(genus.FuncSTORAGE)
+	again, err := db.Query(Spec{Functions: []genus.Function{genus.FuncSTORAGE}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestOpenAfterLoadServesIndexedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := db2.QueryByFunction(genus.FuncINC)
+	cands, err := db2.Query(Spec{Functions: []genus.Function{genus.FuncINC}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,12 +66,12 @@ func TestQueryByFunctionScanMatchesMaterialized(t *testing.T) {
 		{icdb.MaxArea(6), icdb.MaxDelay(50)},
 		{icdb.MustWhere("width_min <= 4 && area <= 10")},
 	} {
-		want, err := db.QueryByFunction(genus.FuncADD, cs...)
+		want, err := db.Query(icdb.Spec{Functions: []genus.Function{genus.FuncADD}, Where: cs})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := collectScan(t, func(visit func(icdb.Candidate) bool) error {
-			return db.QueryByFunctionScan(genus.FuncADD, visit, cs...)
+			return db.Scan(icdb.Spec{Functions: []genus.Function{genus.FuncADD}, Where: cs}, visit)
 		})
 		assertSameCandidates(t, got, want)
 	}
@@ -80,35 +80,88 @@ func TestQueryByFunctionScanMatchesMaterialized(t *testing.T) {
 func TestQueryByFunctionsScanIntersection(t *testing.T) {
 	db := openTestDB(t)
 	fns := []genus.Function{genus.FuncCOUNTER, genus.FuncSTORE}
-	want, err := db.QueryByFunctions(fns)
+	want, err := db.Query(icdb.Spec{Functions: fns})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := collectScan(t, func(visit func(icdb.Candidate) bool) error {
-		return db.QueryByFunctionsScan(fns, visit)
+		return db.Scan(icdb.Spec{Functions: fns}, visit)
 	})
 	assertSameCandidates(t, got, want)
 	if len(got) == 0 {
 		t.Fatal("COUNT+STORE intersection is empty; test is vacuous")
 	}
 	// Streaming an empty function list is the same error as querying one.
-	if err := db.QueryByFunctionsScan(nil, func(icdb.Candidate) bool { return true }); err == nil {
+	if err := db.Scan(icdb.Spec{Functions: []genus.Function{}}, func(icdb.Candidate) bool { return true }); err == nil {
 		t.Error("empty function list accepted")
 	}
 }
 
 func TestQueryByComponentScanMatchesMaterialized(t *testing.T) {
 	db := openTestDB(t)
-	want, err := db.QueryByComponent(genus.CompCounter)
+	want, err := db.Query(icdb.Spec{Type: genus.CompCounter})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := collectScan(t, func(visit func(icdb.Candidate) bool) error {
-		return db.QueryByComponentScan(genus.CompCounter, visit)
+		return db.Scan(icdb.Spec{Type: genus.CompCounter}, visit)
 	})
 	assertSameCandidates(t, got, want)
-	if err := db.QueryByComponentScan("NoSuchComponent", func(icdb.Candidate) bool { return true }); err == nil {
+	if err := db.Scan(icdb.Spec{Type: "NoSuchComponent"}, func(icdb.Candidate) bool { return true }); err == nil {
 		t.Error("unknown component type accepted")
+	}
+}
+
+// TestScanFunctionsOfTypeMatchesQuery: a spec selecting both functions
+// and a component type streams exactly the set Query ranks for it — the
+// type filter narrows the function postings in the stream itself.
+func TestScanFunctionsOfTypeMatchesQuery(t *testing.T) {
+	db := openTestDB(t)
+	spec := icdb.Spec{
+		Functions: []genus.Function{genus.FuncSTORAGE},
+		Type:      genus.CompCounter,
+		Where:     []icdb.Constraint{icdb.AtWidth(8)},
+	}
+	want, err := db.Query(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collectScan(t, func(visit func(icdb.Candidate) bool) error {
+		return db.Scan(spec, visit)
+	})
+	assertSameCandidates(t, got, want)
+	for _, c := range got {
+		if c.Impl.Component != genus.CompCounter {
+			t.Errorf("%s is a %s, not a Counter", c.Impl.Name, c.Impl.Component)
+		}
+	}
+	untyped, err := db.Query(icdb.Spec{Functions: spec.Functions, Where: spec.Where})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || len(got) == len(untyped) {
+		t.Fatalf("typed scan = %d of %d STORAGE candidates; test is vacuous", len(got), len(untyped))
+	}
+}
+
+// TestScanRejectsOrderAndLimit: a stream has no order and no bound, so a
+// Scan spec carrying either is an error, not silently ignored.
+func TestScanRejectsOrderAndLimit(t *testing.T) {
+	db := openTestDB(t)
+	fns := []genus.Function{genus.FuncSTORAGE}
+	for _, spec := range []icdb.Spec{
+		{Functions: fns, Order: icdb.Order{Attr: "area"}},
+		{Functions: fns, Order: icdb.Order{Desc: true}},
+		{Functions: fns, Limit: 3},
+		{Limit: -1},
+	} {
+		visited := 0
+		if err := db.Scan(spec, func(icdb.Candidate) bool { visited++; return true }); err == nil {
+			t.Errorf("Scan(%+v) accepted", spec)
+		}
+		if visited != 0 {
+			t.Errorf("Scan(%+v) visited %d candidates before rejecting", spec, visited)
+		}
 	}
 }
 
@@ -119,23 +172,23 @@ func TestQueryScanWalksWholeCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	if err := db.QueryScan(func(c icdb.Candidate) bool {
+	if err := db.Scan(icdb.Spec{}, func(c icdb.Candidate) bool {
 		seen[c.Impl.Name] = true
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != len(impls) {
-		t.Fatalf("QueryScan visited %d impls, catalog has %d", len(seen), len(impls))
+		t.Fatalf("Scan visited %d impls, catalog has %d", len(seen), len(impls))
 	}
 	for _, im := range impls {
 		if !seen[im.Name] {
-			t.Errorf("QueryScan missed %s", im.Name)
+			t.Errorf("Scan missed %s", im.Name)
 		}
 	}
 	// Constrained walk matches a manual filter of the materialized list.
 	n := 0
-	if err := db.QueryScan(func(c icdb.Candidate) bool { n++; return true }, icdb.MaxArea(4)); err != nil {
+	if err := db.Scan(icdb.Spec{Where: []icdb.Constraint{icdb.MaxArea(4)}}, func(c icdb.Candidate) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	wantN := 0
@@ -145,14 +198,14 @@ func TestQueryScanWalksWholeCatalog(t *testing.T) {
 		}
 	}
 	if n != wantN {
-		t.Errorf("constrained QueryScan yielded %d, want %d", n, wantN)
+		t.Errorf("constrained Scan yielded %d, want %d", n, wantN)
 	}
 }
 
 func TestScanEarlyStop(t *testing.T) {
 	db := openTestDB(t)
 	n := 0
-	if err := db.QueryByFunctionScan(genus.FuncADD, func(c icdb.Candidate) bool {
+	if err := db.Scan(icdb.Spec{Functions: []genus.Function{genus.FuncADD}}, func(c icdb.Candidate) bool {
 		n++
 		return false
 	}); err != nil {
@@ -162,7 +215,7 @@ func TestScanEarlyStop(t *testing.T) {
 		t.Errorf("visitor called %d times after returning false, want 1", n)
 	}
 	// The DB is fully usable afterwards (the index lock was released).
-	if _, err := db.QueryByFunction(genus.FuncADD); err != nil {
+	if _, err := db.Query(icdb.Spec{Functions: []genus.Function{genus.FuncADD}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,10 +224,10 @@ func TestScanConstraintErrorPropagates(t *testing.T) {
 	db := openTestDB(t)
 	bad := icdb.MustWhere("no_such_attr > 1")
 	called := false
-	err := db.QueryByFunctionScan(genus.FuncADD, func(c icdb.Candidate) bool {
+	err := db.Scan(icdb.Spec{Functions: []genus.Function{genus.FuncADD}, Where: []icdb.Constraint{bad}}, func(c icdb.Candidate) bool {
 		called = true
 		return true
-	}, bad)
+	})
 	if err == nil {
 		t.Fatal("constraint referencing an unknown attribute: want error")
 	}
@@ -182,7 +235,7 @@ func TestScanConstraintErrorPropagates(t *testing.T) {
 		t.Error("visitor ran despite the constraint error")
 	}
 	// The materialized path reports the same failure.
-	if _, err := db.QueryByFunction(genus.FuncADD, bad); err == nil {
+	if _, err := db.Query(icdb.Spec{Functions: []genus.Function{genus.FuncADD}, Where: []icdb.Constraint{bad}}); err == nil {
 		t.Error("materialized query swallowed the constraint error")
 	}
 }
@@ -190,7 +243,7 @@ func TestScanConstraintErrorPropagates(t *testing.T) {
 func TestScanCloneIndependence(t *testing.T) {
 	db := openTestDB(t)
 	var kept icdb.Impl
-	if err := db.QueryByFunctionScan(genus.FuncADD, func(c icdb.Candidate) bool {
+	if err := db.Scan(icdb.Spec{Functions: []genus.Function{genus.FuncADD}}, func(c icdb.Candidate) bool {
 		kept = c.Impl.Clone()
 		return false
 	}); err != nil {
@@ -244,7 +297,7 @@ OUTORDER: O[size];
 		t.Fatal(err)
 	}
 	found := false
-	if err := db.QueryByFunctionScan(genus.FuncCOUNTER, func(c icdb.Candidate) bool {
+	if err := db.Scan(icdb.Spec{Functions: []genus.Function{genus.FuncCOUNTER}}, func(c icdb.Candidate) bool {
 		if c.Impl.Name == "stream_probe" {
 			found = true
 			return false
@@ -266,7 +319,7 @@ func TestDBSnapshotRoundTrip(t *testing.T) {
 	if err := db.SetToolParam("icdb", "area_weight", 3); err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.QueryByFunction(genus.FuncADD, icdb.ForWidth(8))
+	want, err := db.Query(icdb.Spec{Functions: []genus.Function{genus.FuncADD}, Where: []icdb.Constraint{icdb.ForWidth(8)}})
 	if err != nil || len(want) == 0 {
 		t.Fatalf("seed query: %d candidates, %v", len(want), err)
 	}
@@ -283,7 +336,7 @@ func TestDBSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db2.QueryByFunction(genus.FuncADD, icdb.ForWidth(8))
+	got, err := db2.Query(icdb.Spec{Functions: []genus.Function{genus.FuncADD}, Where: []icdb.Constraint{icdb.ForWidth(8)}})
 	if err != nil {
 		t.Fatal(err)
 	}
